@@ -345,6 +345,15 @@ class Scheduler(abc.ABC):
                 free = (free - pending).clamp_nonnegative()
         return free
 
+    def free_matrix(self) -> np.ndarray:
+        """The ``(machines, dims)`` matrix of the free vectors this
+        scheduler plans against — row ``m`` is :meth:`machine_free`
+        before pending commit adjustments.  Shared storage; callers
+        must not mutate it."""
+        if self.tracker is not None:
+            return self.tracker.available_matrix()
+        return self.cluster.state.free_clamped_matrix()
+
     def dominant_share(self, job: Job) -> float:
         """The job's DRF dominant share of the whole cluster."""
         alloc = self.job_alloc.get(job.job_id)

@@ -134,7 +134,9 @@ class TetrisConfig:
       ``numpy`` — or to the scalar reference when ``vectorized`` is
       off.  All backends produce bit-identical placements;
     - ``debug_invariants``: run the remote-grant ledger invariant check
-      after every grant/release (test/debug aid; off in production).
+      after every grant/release, and check the tracker's cached
+      availability rows against a recomputation once per round
+      (test/debug aid; off in production).
     """
 
     fairness_knob: float = 0.25
@@ -258,9 +260,9 @@ class TetrisScheduler(Scheduler):
             else None
         )
         #: per-stage machine-independent demand lower bounds feeding the
-        #: round-level machine prefilter (trace off, no tracker): a
-        #: machine whose free vector cannot cover any stage's lower
-        #: bound provably yields zero placements and is skipped
+        #: round-level machine prefilter (trace off): a machine whose
+        #: planning free vector cannot cover any stage's lower bound
+        #: provably yields zero placements and is skipped
         self._stage_lb: Dict[int, np.ndarray] = {}
         #: tighter per-stage bounds for machines with no input replica
         #: (all-remote placement pattern: netin kept, diskr/netout zero)
@@ -768,6 +770,9 @@ class TetrisScheduler(Scheduler):
         prof = self.profiler
         start = perf_counter() if prof is not None else 0.0
         placements: List[Placement] = []
+        if self.config.debug_invariants and self.tracker is not None:
+            # the prefilter and placeability skip trust the cached rows
+            self.tracker.check_available()
         jobs = (
             self._round_jobs
             if self._round_jobs is not None
@@ -830,21 +835,23 @@ class TetrisScheduler(Scheduler):
                     self.prefilter_machines
                     and self._use_vectorized
                     and self.trace is None
-                    and self.tracker is None
                     and self.config.starvation_timeout is None
                     and self.estimator.stable_estimates
                 ):
                     # a machine whose free vector cannot cover any
                     # stage's demand lower bound yields zero placements;
                     # skipping it changes nothing (visits mutate state
-                    # only through placements)
+                    # only through placements).  The free vectors are
+                    # the planning matrix, which schedule() never moves
+                    # — with a tracker too, whose rows change only in
+                    # engine callbacks between rounds.
                     visit = self._prefilter_machines(visit)
                 # exact-fit skip: machines on the shared (no-locality)
-                # view whose free vector fits no active row place
-                # nothing and mutate nothing, so their visits can be
-                # dropped wholesale.  Same gates as the prefilter, plus
-                # no live reservations (a reserved machine must be
-                # visited even when nothing fits).
+                # view whose planning free vector fits no active row
+                # place nothing and mutate nothing, so their visits can
+                # be dropped wholesale.  Gated on trace-off and no live
+                # reservations (a reserved machine must be visited even
+                # when nothing fits).
                 skip_special = None
                 skip_any = None
                 skip_gen = None
@@ -853,7 +860,6 @@ class TetrisScheduler(Scheduler):
                     and self._round_special is not None
                     and self._round_proxy >= 0
                     and self.trace is None
-                    and self.tracker is None
                     and not self._reservations
                 ):
                     skip_special = self._round_special
@@ -985,18 +991,19 @@ class TetrisScheduler(Scheduler):
         visit to a machine with no fitting candidate mutates nothing,
         so skipping it leaves placements (and all scheduler state)
         bit-identical; relative order of the survivors is preserved, so
-        the greedy fill sequence is unchanged.  Callers gate this on
-        trace-off (skipped visits emit no decision events), no tracker
-        (the availability view must be the cluster's own free matrix)
-        and no reservations (a reserved machine must be visited even
-        when nothing fits).
+        the greedy fill sequence is unchanged.  The free vectors are
+        the rows of :meth:`free_matrix` — the tracker's availability
+        view when one is bound — which stay fixed for the whole round.
+        Callers gate this on trace-off (skipped visits emit no decision
+        events) and no reservations (a reserved machine must be visited
+        even when nothing fits).
         """
         table = self._round_table
         if table is None or not table.stages or not order:
             return order
         stages = table.stages
         lb = np.stack([self._stage_lb_vec(s) for s in stages])
-        free = self.cluster.state.free_clamped_matrix()
+        free = self.free_matrix()
         ids = np.fromiter(order, dtype=np.intp, count=len(order))
         rows = free[ids] + EPSILON
         # cheap cut: the pointwise min over all stages must fit
@@ -1029,14 +1036,16 @@ class TetrisScheduler(Scheduler):
         the shared (no-locality) view at the current rep generation.
 
         ``placeable[m]`` is True iff some active shared-view row both
-        fits machine ``m``'s clamped free vector — the same ``booked <=
-        free + EPSILON`` comparisons the fill loop's first iteration
-        runs, as one broadcast over the whole free matrix — and passes
-        the remote-headroom check.  A machine with no locality pool
-        holds no input replica of any round stage, so every remote row's
-        transfer plan resolves to the interned machine-independent
-        generic plan: its verdict is the same for all such machines and
-        one check (through the verdict cache) covers them all.
+        fits machine ``m``'s planning free vector (:meth:`free_matrix`:
+        the clamped free row, or the tracker's availability row) — the
+        same ``booked <= free + EPSILON`` comparisons the fill loop's
+        first iteration runs, as one broadcast over the whole matrix —
+        and passes the remote-headroom check.  A machine with no
+        locality pool holds no input replica of any round stage, so
+        every remote row's transfer plan resolves to the interned
+        machine-independent generic plan: its verdict is the same for
+        all such machines and one check (through the verdict cache)
+        covers them all.
 
         A False entry means the visit's first ``keep`` set drains to
         empty, so the fill loop breaks having placed nothing and mutated
@@ -1074,7 +1083,7 @@ class TetrisScheduler(Scheduler):
             if rows.size == 0:
                 return np.zeros(state.num_machines, dtype=bool)
         booked = view.booked_mat[rows]
-        free = state.free_clamped_matrix()
+        free = self.free_matrix()
         if not self._mask_all:
             mask = self._dims_mask
             booked = booked[:, mask]
@@ -1124,31 +1133,29 @@ class TetrisScheduler(Scheduler):
     def _pick_reservation_machine(self) -> Optional[int]:
         """The unreserved machine with the most normalized free capacity.
 
-        One cluster-wide free matrix and a masked argmax replace the
-        per-machine ``ResourceVector`` allocations; numpy's first-max
-        argmax matches the scalar loop's strict-``>`` tie-break, and
-        reserved machines are masked to ``-inf`` (free totals are never
-        negative, so any unreserved machine still wins).
+        Ranks the rows of :meth:`free_matrix` — the same view the fill
+        loop tests fits against, so with a tracker an ingestion hotspot
+        (observed > booked) does not look free — normalized by each
+        machine's capacity.  numpy's first-max argmax matches the scalar
+        loop's strict-``>`` tie-break, and reserved machines are masked
+        to ``-inf`` (free totals are never negative, so any unreserved
+        machine still wins).
         """
-        machines = self.cluster.machines
-        if not machines:
+        if not self.cluster.machines:
             return None
-        free = np.stack([m.free_clamped_view().data for m in machines])
-        caps = np.stack([m.capacity.data for m in machines])
+        free = self.free_matrix()
+        caps = self.cluster.state.capacity
         nz = caps > EPSILON
         norm = np.zeros_like(free)
         norm[nz] = free[nz] / caps[nz]
         scores = norm.sum(axis=1)
         if self._reservations:
-            reserved = np.fromiter(
-                (m.machine_id in self._reservations for m in machines),
-                dtype=bool,
-                count=len(machines),
-            )
+            reserved = np.zeros(scores.size, dtype=bool)
+            reserved[list(self._reservations)] = True
             if reserved.all():
                 return None
             scores[reserved] = -np.inf
-        return machines[int(np.argmax(scores))].machine_id
+        return int(np.argmax(scores))
 
     def _barrier_stages(self, jobs: Sequence[Job]) -> set:
         """Stages past the barrier threshold (their stragglers get priority)."""

@@ -4,9 +4,11 @@ A source is an async iterator of :class:`Arrival` records in
 nondecreasing *event time* (the simulated arrival instant).  Wall-clock
 pacing is the source's business: a replay source sleeps between arrivals
 to reproduce the trace's arrival process at a configurable time
-compression, while ``speedup=0`` (the default) yields arrivals as fast
-as the consumer can take them — the mode used for throughput replays and
-for the bit-identity property test against the batch engine.
+compression, on an absolute schedule (arrival *i* is due at ``start +
+(t_i - t_0) / speedup`` on the event-loop clock), while ``speedup=0``
+(the default) yields arrivals as fast as the consumer can take them —
+the mode used for throughput replays and for the bit-identity property
+test against the batch engine.
 
 Ordering contract: arrivals must be yielded stable-sorted by event time.
 The service's watermark discipline (advance the engine strictly below
@@ -48,7 +50,16 @@ class JobSource:
         raise NotImplementedError
 
 
-async def _pace(delay: float) -> None:
+async def _sleep_until(loop: asyncio.AbstractEventLoop, due: float) -> None:
+    """Sleep until loop time ``due``; no-op when it has already passed.
+
+    Paced sources aim every arrival at an absolute instant, ``start +
+    (t_i - t_0) / speedup`` on the loop clock, so an oversleep or a slow
+    consumer delays only the arrivals already due, never the schedule:
+    lateness does not accumulate (a chain of relative sleeps would add
+    each overshoot to every later arrival).
+    """
+    delay = due - loop.time()
     if delay > 0:
         await asyncio.sleep(delay)
 
@@ -73,11 +84,14 @@ class TraceReplaySource(JobSource):
         self.total_jobs = len(self._jobs)
 
     async def arrivals(self) -> AsyncIterator[Arrival]:
-        prev = self._jobs[0].arrival_time if self._jobs else 0.0
+        loop = asyncio.get_running_loop()
+        start = loop.time()
+        t0 = self._jobs[0].arrival_time if self._jobs else 0.0
         for job in self._jobs:
             if self.speedup > 0:
-                await _pace((job.arrival_time - prev) / self.speedup)
-            prev = job.arrival_time
+                await _sleep_until(
+                    loop, start + (job.arrival_time - t0) / self.speedup
+                )
             yield Arrival(job, job.arrival_time)
 
 
@@ -136,8 +150,12 @@ class SyntheticSource(JobSource):
         )
 
     async def arrivals(self) -> AsyncIterator[Arrival]:
+        loop = asyncio.get_running_loop()
+        start = loop.time()
         for index in range(self.num_jobs):
-            if self.speedup > 0 and index > 0:
-                await _pace(self.interarrival / self.speedup)
+            if self.speedup > 0:
+                await _sleep_until(
+                    loop, start + index * self.interarrival / self.speedup
+                )
             job = self._make_job(index)
             yield Arrival(job, job.arrival_time)

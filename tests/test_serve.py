@@ -10,6 +10,7 @@ that baseline.
 
 import asyncio
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,8 @@ from repro.serve import (
 from repro.sim.engine import Engine, EngineConfig
 from repro.workload.trace import materialize_trace
 from repro.workload.tracegen import WorkloadSuiteConfig, generate_workload_suite
+
+from conftest import make_simple_job
 
 
 def _trace(num_jobs=10, seed=3, horizon=150.0):
@@ -152,6 +155,52 @@ class TestBitIdentity:
         assert _placements(streamed) == _placements(batch)
         assert report.jobs_committed == len(trace)
         assert report.admission["rejected"] == 0
+
+
+# ---------------------------------------------------------------------------
+# source pacing
+# ---------------------------------------------------------------------------
+
+class TestPacing:
+    """Paced sources follow an absolute schedule: a consumer stall makes
+    only the arrivals already due late, and later ones are on time."""
+
+    GAP = 0.02  # host seconds between consecutive arrivals
+    STALL = 0.2  # one blocking consumer stall, ten gaps long
+
+    def _lateness(self, source, offsets):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            got = []
+            async for _ in source.arrivals():
+                got.append(loop.time())
+                if len(got) == 1:
+                    time.sleep(self.STALL)  # a slow consumer
+            return [t - (got[0] + off) for t, off in zip(got, offsets)]
+
+        return asyncio.run(scenario())
+
+    def test_replay_lateness_does_not_accumulate(self):
+        jobs = [
+            make_simple_job(num_tasks=1, arrival_time=10.0 * i, name=f"p{i}")
+            for i in range(15)
+        ]
+        speedup = 10.0 / self.GAP
+        late = self._lateness(
+            TraceReplaySource(jobs, speedup=speedup),
+            [10.0 * i / speedup for i in range(15)],
+        )
+        assert late[1] >= self.STALL - 2 * self.GAP  # due during the stall
+        assert late[-1] < self.STALL / 2  # caught up afterwards
+
+    def test_synthetic_lateness_does_not_accumulate(self):
+        speedup = 1.0 / self.GAP
+        late = self._lateness(
+            SyntheticSource(num_jobs=15, interarrival=1.0, speedup=speedup),
+            [i / speedup for i in range(15)],
+        )
+        assert late[1] >= self.STALL - 2 * self.GAP
+        assert late[-1] < self.STALL / 2
 
 
 # ---------------------------------------------------------------------------
